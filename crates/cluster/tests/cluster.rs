@@ -88,7 +88,7 @@ fn sum_metric(text: &str, name: &str) -> f64 {
     text.lines()
         .filter(|l| !l.starts_with('#'))
         .filter(|l| {
-            l.strip_prefix(name).map_or(false, |rest| rest.starts_with('{') || rest.starts_with(' '))
+            l.strip_prefix(name).is_some_and(|rest| rest.starts_with('{') || rest.starts_with(' '))
         })
         .filter_map(|l| l.rsplit(' ').next()?.parse::<f64>().ok())
         .sum()

@@ -13,7 +13,8 @@
 //!    target rate").
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 use bp_util::sync::{Condvar, Mutex};
 
@@ -48,6 +49,13 @@ pub struct ScheduledRequest {
 /// µs spacings (any rate above ~1k tx/s) are not truncated away.
 const NANOS_PER_MICRO: u64 = 1_000;
 
+/// How close to the gate a blocking `pull` stops sleeping and spins.
+/// A short timed wait on Linux overshoots by the default 50 µs timer slack
+/// plus wake-up cost (~55–66 µs measured), so a sleep aimed at the gate
+/// itself lands one overshoot late; a sleep aimed `SPIN_NS` early lands
+/// before it and the last stretch is spun on the clock.
+const SPIN_NS: u64 = 100_000;
+
 #[derive(Debug, Default)]
 struct QueueState {
     queue: VecDeque<Request>,
@@ -57,7 +65,18 @@ struct QueueState {
     /// the first dispatch so a `set_rate` during setup cannot delay the
     /// run's very first request by one spacing.
     last_gate_ns: Option<u64>,
+    /// A puller is busy-spinning towards the gate (at most one per queue).
+    spinning: bool,
     closed: bool,
+}
+
+impl QueueState {
+    /// When the head may dispatch (nanos): its arrival, held back by the
+    /// rate gate. `None` when the queue is empty.
+    fn head_gate_ns(&self) -> Option<u64> {
+        let head = self.queue.front()?;
+        Some((head.arrival * NANOS_PER_MICRO).max(self.next_dispatch_ns))
+    }
 }
 
 /// The central request queue.
@@ -68,6 +87,10 @@ pub struct RequestQueue {
     /// Current dispatch spacing in nanos (0 = no gating, i.e. unlimited).
     spacing_ns: AtomicU64,
     seq: AtomicU64,
+    /// `state.queue.len()`, written under the lock and read without it, so
+    /// the backlog readers (breaker admission, telemetry, the manager) stay
+    /// off the mutex the gate takes on every dispatch.
+    len: AtomicUsize,
     dispatched: AtomicU64,
     /// Cumulative scheduled-arrival → dispatch wait across all dispatches
     /// (µs). With `dispatched` this gives the mean queue wait without
@@ -84,6 +107,7 @@ impl RequestQueue {
             clock,
             spacing_ns: AtomicU64::new(0),
             seq: AtomicU64::new(0),
+            len: AtomicUsize::new(0),
             dispatched: AtomicU64::new(0),
             queue_wait_us: AtomicU64::new(0),
         }
@@ -115,35 +139,29 @@ impl RequestQueue {
     /// Enqueue arrivals (already stamped with absolute times). Requests get
     /// type/phase 0 — used by benches and tests that bypass the manager.
     pub fn push_arrivals(&self, arrivals: impl IntoIterator<Item = Micros>) {
-        let mut st = self.state.lock();
-        for arrival in arrivals {
-            let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-            st.queue.push_back(Request { arrival, seq, txn_type: 0, phase: 0 });
-        }
-        drop(st);
-        self.cond.notify_all();
+        self.push(arrivals.into_iter().map(|arrival| (arrival, 0, 0)));
     }
 
     /// Enqueue a schedule window: offsets are relative to `base` and each
     /// request carries its pinned transaction type and phase.
     pub fn push_scheduled(&self, base: Micros, reqs: impl IntoIterator<Item = ScheduledRequest>) {
+        self.push(reqs.into_iter().map(|r| (base + r.offset_us, r.txn_type, r.phase)));
+    }
+
+    fn push(&self, reqs: impl Iterator<Item = (Micros, u16, u16)>) {
         let mut st = self.state.lock();
-        for r in reqs {
+        for (arrival, txn_type, phase) in reqs {
             let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-            st.queue.push_back(Request {
-                arrival: base + r.offset_us,
-                seq,
-                txn_type: r.txn_type,
-                phase: r.phase,
-            });
+            st.queue.push_back(Request { arrival, seq, txn_type, phase });
         }
+        self.len.store(st.queue.len(), Ordering::Relaxed);
         drop(st);
         self.cond.notify_all();
     }
 
-    /// Number of requests waiting (the backlog).
+    /// Number of requests waiting (the backlog). Lock-free.
     pub fn backlog(&self) -> usize {
-        self.state.lock().queue.len()
+        self.len.load(Ordering::Relaxed)
     }
 
     /// Total requests ever dispatched.
@@ -172,6 +190,7 @@ impl RequestQueue {
         let mut st = self.state.lock();
         let n = st.queue.len();
         st.queue.clear();
+        self.len.store(0, Ordering::Relaxed);
         n
     }
 
@@ -185,48 +204,99 @@ impl RequestQueue {
         self.state.lock().closed
     }
 
+    fn now_ns(&self) -> u64 {
+        self.clock.now() * NANOS_PER_MICRO
+    }
+
+    /// Pop the head if its gate is open at `now_ns` and advance the gate.
+    /// `pull` and `try_pull` both dispatch through here, so the SimClock
+    /// gate tests pin exactly the code the worker threads run.
+    fn dispatch_head(&self, st: &mut QueueState, now_ns: u64) -> Option<Request> {
+        let gate_ns = st.head_gate_ns().filter(|&gate| now_ns >= gate)?;
+        let req = st.queue.pop_front()?;
+        self.len.store(st.queue.len(), Ordering::Relaxed);
+        let spacing = self.spacing_ns.load(Ordering::Relaxed);
+        // Token-bucket with one spacing of credit: anchoring on the gate's
+        // own schedule avoids cumulative drift from late dispatches, while
+        // clamping to (now - one credit) keeps an old backlog from bursting
+        // past the target rate. The credit is at least one clock quantum
+        // (1µs) so sub-µs spacings don't lose schedule to clock granularity.
+        let credit = spacing.max(NANOS_PER_MICRO);
+        let anchor = gate_ns.max(now_ns.saturating_sub(credit));
+        st.last_gate_ns = Some(anchor);
+        st.next_dispatch_ns = anchor + spacing;
+        self.dispatched.fetch_add(1, Ordering::Relaxed);
+        self.queue_wait_us
+            .fetch_add((now_ns / NANOS_PER_MICRO).saturating_sub(req.arrival), Ordering::Relaxed);
+        Some(req)
+    }
+
+    /// Busy-wait (lock not held) until the clock reaches `gate_ns`, for at
+    /// most `SPIN_NS` of real time. Returns whether the gate was reached;
+    /// `false` means the clock is not following real time (a `SimClock`).
+    fn spin_until(&self, gate_ns: u64) -> bool {
+        let start = Instant::now();
+        let budget = Duration::from_nanos(SPIN_NS);
+        loop {
+            // Budget read before the clock: a wall clock read after the
+            // budget ran out is past any gate within `SPIN_NS`, even if the
+            // thread was preempted between the two reads.
+            let out_of_budget = start.elapsed() >= budget;
+            if self.now_ns() >= gate_ns {
+                return true;
+            }
+            if out_of_budget {
+                return false;
+            }
+            std::hint::spin_loop();
+        }
+    }
+
     /// Blocking pull honoring arrival times and the rate gate. Returns
     /// `None` when the queue is closed. `max_wait_us` bounds each internal
     /// wait so callers can re-check external conditions.
+    ///
+    /// A gate more than `SPIN_NS` away is slept towards, stopping `SPIN_NS`
+    /// short. Inside that distance one puller (the `spinning` flag) spins
+    /// on the clock until the gate opens; the others wait on the condvar
+    /// until the gate, as before, and a dispatch that leaves work behind
+    /// wakes one of them to take over the spin.
     pub fn pull(&self, max_wait_us: Micros) -> Option<Request> {
+        // Cleared once a spin runs out without the clock reaching the gate,
+        // after which this call only sleeps.
+        let mut may_spin = true;
+        let mut st = self.state.lock();
         loop {
-            let mut st = self.state.lock();
             if st.closed {
                 return None;
             }
-            let now_ns = self.clock.now() * NANOS_PER_MICRO;
-            if let Some(&head) = st.queue.front() {
-                let gate_ns = (head.arrival * NANOS_PER_MICRO).max(st.next_dispatch_ns);
-                if now_ns >= gate_ns {
-                    let req = st.queue.pop_front().expect("head exists");
-                    let spacing = self.spacing_ns.load(Ordering::Relaxed);
-                    // Token-bucket with one spacing of credit: anchoring
-                    // on the gate's own schedule avoids cumulative drift
-                    // from late dispatches, while clamping to (now - one
-                    // credit) keeps an old backlog from bursting past the
-                    // target rate. The credit is at least one clock
-                    // quantum (1µs) so sub-µs spacings don't lose schedule
-                    // to clock granularity.
-                    let credit = spacing.max(NANOS_PER_MICRO);
-                    let anchor = gate_ns.max(now_ns.saturating_sub(credit));
-                    st.last_gate_ns = Some(anchor);
-                    st.next_dispatch_ns = anchor + spacing;
-                    self.dispatched.fetch_add(1, Ordering::Relaxed);
-                    self.queue_wait_us.fetch_add(
-                        (now_ns / NANOS_PER_MICRO).saturating_sub(req.arrival),
-                        Ordering::Relaxed,
-                    );
-                    return Some(req);
+            let now_ns = self.now_ns();
+            if let Some(req) = self.dispatch_head(&mut st, now_ns) {
+                if !st.queue.is_empty() {
+                    self.cond.notify_one();
                 }
-                // Wait until the gate opens (or something changes).
-                let wait = (gate_ns - now_ns).div_ceil(NANOS_PER_MICRO).min(max_wait_us);
-                let timeout = std::time::Duration::from_micros(wait.max(1));
-                self.cond.wait_for(&mut st, timeout);
-            } else {
-                let timeout = std::time::Duration::from_micros(max_wait_us.max(1));
-                self.cond.wait_for(&mut st, timeout);
+                return Some(req);
             }
-            // Loop re-checks closed/head/gate.
+            let wait_ns = match st.head_gate_ns() {
+                None => max_wait_us * NANOS_PER_MICRO,
+                Some(gate_ns) => {
+                    let until_gate = gate_ns - now_ns;
+                    if may_spin && until_gate > SPIN_NS {
+                        until_gate - SPIN_NS
+                    } else if may_spin && !st.spinning {
+                        st.spinning = true;
+                        drop(st);
+                        may_spin = self.spin_until(gate_ns);
+                        st = self.state.lock();
+                        st.spinning = false;
+                        continue; // re-check closed/head/gate
+                    } else {
+                        until_gate
+                    }
+                }
+            };
+            let wait_us = wait_ns.div_ceil(NANOS_PER_MICRO).min(max_wait_us).max(1);
+            self.cond.wait_for(&mut st, Duration::from_micros(wait_us));
         }
     }
 
@@ -236,24 +306,8 @@ impl RequestQueue {
         if st.closed {
             return None;
         }
-        let now_ns = self.clock.now() * NANOS_PER_MICRO;
-        let head = *st.queue.front()?;
-        let gate_ns = (head.arrival * NANOS_PER_MICRO).max(st.next_dispatch_ns);
-        if now_ns < gate_ns {
-            return None;
-        }
-        st.queue.pop_front();
-        let spacing = self.spacing_ns.load(Ordering::Relaxed);
-        let credit = spacing.max(NANOS_PER_MICRO);
-        let anchor = gate_ns.max(now_ns.saturating_sub(credit));
-        st.last_gate_ns = Some(anchor);
-        st.next_dispatch_ns = anchor + spacing;
-        self.dispatched.fetch_add(1, Ordering::Relaxed);
-        self.queue_wait_us.fetch_add(
-            (now_ns / NANOS_PER_MICRO).saturating_sub(head.arrival),
-            Ordering::Relaxed,
-        );
-        Some(head)
+        let now_ns = self.now_ns();
+        self.dispatch_head(&mut st, now_ns)
     }
 }
 
@@ -342,6 +396,70 @@ mod tests {
         let elapsed = clock.now() - now;
         assert!(elapsed >= 18_000, "dispatched too early: {elapsed}µs");
         assert_eq!(got.arrival, now + 20_000);
+    }
+
+    #[test]
+    fn short_gate_wait_is_not_late_by_timer_slack() {
+        // A timed wait of a few tens of µs overshoots by the OS timer slack
+        // (~55 µs on Linux); the spin must absorb it.
+        use bp_util::clock::wall_clock;
+        let clock = wall_clock();
+        let q = RequestQueue::new(clock.clone());
+        let mut late: Vec<u64> = (0..200)
+            .map(|_| {
+                q.push_arrivals([clock.now() + 30]);
+                let req = q.pull(MICROS_PER_SEC).unwrap();
+                clock.now() - req.arrival
+            })
+            .collect();
+        late.sort_unstable();
+        let median = late[late.len() / 2];
+        assert!(median < 20, "median lateness {median}µs: {:?}", &late[..10]);
+    }
+
+    #[test]
+    fn threaded_pull_never_exceeds_rate() {
+        use bp_util::clock::wall_clock;
+        let clock = wall_clock();
+        let q = std::sync::Arc::new(RequestQueue::new(clock.clone()));
+        let tps = 50_000.0;
+        q.set_rate(tps);
+        q.push_arrivals((0..30_000).map(|_| 0)); // all overdue
+        let start = clock.now();
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let q = q.clone();
+                std::thread::spawn(move || while q.pull(MICROS_PER_SEC).is_some() {})
+            })
+            .collect();
+        std::thread::sleep(std::time::Duration::from_millis(300));
+        q.close(); // no dispatch happens after this returns
+        let elapsed = clock.now() - start;
+        for w in workers {
+            w.join().unwrap();
+        }
+        let allowed = (tps * elapsed as f64 / 1e6) as u64 + 2;
+        let n = q.dispatched();
+        assert!(n <= allowed, "dispatched {n} in {elapsed}µs, allowed {allowed}");
+    }
+
+    #[test]
+    fn spin_is_bounded_when_the_clock_stands_still() {
+        // On a clock that never advances the gate never opens: the spin
+        // must give up after SPIN_NS of real time and fall back to timed
+        // waits that still see `close`.
+        let (_, clock) = sim_clock();
+        let q = std::sync::Arc::new(RequestQueue::new(clock));
+        q.push_arrivals([50]);
+        let q2 = q.clone();
+        let h = std::thread::spawn(move || (q2.pull(MICROS_PER_SEC), Instant::now()));
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let closed_at = Instant::now();
+        q.close();
+        let (got, returned_at) = h.join().unwrap();
+        assert_eq!(got, None);
+        let after_close = returned_at.saturating_duration_since(closed_at);
+        assert!(after_close < Duration::from_millis(100), "returned {after_close:?} after close");
     }
 
     #[test]

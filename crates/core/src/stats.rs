@@ -251,10 +251,7 @@ impl StatsCollector {
 
     /// Record that `n` requests were generated at time `t` (target side).
     pub fn record_requested(&self, t: Micros, n: usize) {
-        let mut shard = self.my_shard().lock();
-        for _ in 0..n {
-            shard.requested.tick(t);
-        }
+        self.my_shard().lock().requested.tick_n(t, n as u64);
     }
 
     /// Instantaneous status (sliding window of `window_s` complete seconds).
@@ -596,6 +593,10 @@ mod tests {
         c.record_requested(0, 50);
         c.record_requested(MICROS_PER_SEC, 70);
         assert_eq!(c.requested_series(), vec![50.0, 70.0]);
+        c.record_requested(2 * MICROS_PER_SEC, 0);
+        assert_eq!(c.requested_series(), vec![50.0, 70.0], "a zero count adds no window");
+        c.record_requested(4 * MICROS_PER_SEC, 100_000);
+        assert_eq!(c.requested_series(), vec![50.0, 70.0, 0.0, 0.0, 100_000.0]);
     }
 
     #[test]

@@ -1167,7 +1167,6 @@ mod tests {
             ring_capacity: 128,
             span_budget: 64,
             shards: 1,
-            ..ObsConfig::default()
         };
         let tail = SpanRecorder::new(cfg);
         assert_eq!(tail.capacity(), 64, "span_budget overrides ring_capacity");

@@ -56,8 +56,8 @@ impl TimeSeries {
         self.width
     }
 
-    /// Record a sample with value `value` at time `t`.
-    pub fn record(&mut self, t: Micros, value: u64) {
+    /// The window covering `t`, extending the series up to it.
+    fn window_at(&mut self, t: Micros) -> &mut Window {
         let idx = ((t.saturating_sub(self.origin)) / self.width) as usize;
         if idx >= self.windows.len() {
             let mut start = self.origin + self.windows.len() as u64 * self.width;
@@ -66,7 +66,12 @@ impl TimeSeries {
                 start += self.width;
             }
         }
-        let w = &mut self.windows[idx];
+        &mut self.windows[idx]
+    }
+
+    /// Record a sample with value `value` at time `t`.
+    pub fn record(&mut self, t: Micros, value: u64) {
+        let w = self.window_at(t);
         w.count += 1;
         w.sum += value as u128;
         w.min = w.min.min(value);
@@ -75,7 +80,18 @@ impl TimeSeries {
 
     /// Count-only sample (throughput accounting).
     pub fn tick(&mut self, t: Micros) {
-        self.record(t, 0);
+        self.tick_n(t, 1);
+    }
+
+    /// `n` count-only samples at time `t`: the same series as `n` calls
+    /// to [`TimeSeries::tick`], in one step.
+    pub fn tick_n(&mut self, t: Micros, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let w = self.window_at(t);
+        w.count += n;
+        w.min = 0;
     }
 
     pub fn windows(&self) -> &[Window] {
@@ -133,15 +149,7 @@ impl TimeSeries {
             if o.count == 0 {
                 continue;
             }
-            let idx = ((o.start.saturating_sub(self.origin)) / self.width) as usize;
-            if idx >= self.windows.len() {
-                let mut start = self.origin + self.windows.len() as u64 * self.width;
-                while self.windows.len() <= idx {
-                    self.windows.push(Window::empty(start));
-                    start += self.width;
-                }
-            }
-            let w = &mut self.windows[idx];
+            let w = self.window_at(o.start);
             w.count += o.count;
             w.sum += o.sum;
             w.min = w.min.min(o.min);
@@ -231,6 +239,22 @@ mod tests {
         assert_eq!(ts.windows()[1].count, 0);
         assert_eq!(ts.windows()[2].count, 0);
         assert_eq!(ts.total(), 2);
+    }
+
+    #[test]
+    fn tick_n_equals_n_ticks() {
+        let mut one_by_one = TimeSeries::per_second();
+        let mut batched = TimeSeries::per_second();
+        batched.tick_n(MICROS_PER_SEC, 0); // a zero count extends nothing
+        assert!(batched.is_empty());
+        for (t, n) in [(0, 3u64), (10, 5), (2 * MICROS_PER_SEC + 7, 4)] {
+            for _ in 0..n {
+                one_by_one.tick(t);
+            }
+            batched.tick_n(t, n);
+        }
+        assert_eq!(batched.windows(), one_by_one.windows());
+        assert_eq!(batched.total(), 12);
     }
 
     #[test]
