@@ -7,7 +7,7 @@ use bp_util::sync::RwLock;
 
 use bp_chaos::{ChaosController, FaultPlan};
 use bp_core::{
-    ControlLaw, Controller, MixturePreset, Rate, RecoveryConfig, SloConfig, SloTarget,
+    ControlLaw, Controller, MixturePreset, Rate, RecoveryConfig, SloConfig, SloHandle, SloTarget,
     StatusSnapshot,
 };
 use bp_obs::{Event, EventJournal, MetricsRegistry, Severity};
@@ -256,9 +256,9 @@ fn rate_json(rate: Rate) -> Json {
     }
 }
 
-/// Build an [`SloConfig`] from a `POST /slo` body; every field falls back
-/// to the crate default.
-fn slo_config_from_json(body: &Json) -> Result<SloConfig, String> {
+/// Build an [`SloConfig`] from a `POST /slo` (or `POST /cluster/slo`)
+/// body; every field falls back to the crate default.
+pub fn slo_config_from_json(body: &Json) -> Result<SloConfig, String> {
     let mut cfg = SloConfig::default();
     let limit_us = match body.get("limit_ms").and_then(Json::as_f64) {
         Some(ms) if ms > 0.0 && ms.is_finite() => (ms * 1_000.0).round() as u64,
@@ -320,9 +320,8 @@ fn slo_config_from_json(body: &Json) -> Result<SloConfig, String> {
     Ok(cfg)
 }
 
-/// The `GET /slo/status` body for one workload's SLO handle.
-fn slo_status_json(id: &str, c: &Controller) -> Json {
-    let h = c.slo();
+/// The `GET /slo/status` (and `GET /cluster/slo`) body for one SLO handle.
+pub fn slo_status_json(id: &str, h: &SloHandle) -> Json {
     let (target, limit_us, law, window_s) = match h.config() {
         Some(cfg) => (cfg.target.kind(), cfg.target.limit_us(), cfg.law.name(), cfg.window_s as u64),
         None => ("none", 0, "none", 0),
@@ -737,7 +736,7 @@ impl ApiServer {
             // Arc-pointer dedupe in the registry makes re-arming a no-op.
             reg.register(&format!("slo:{id}"), c.slo().clone());
         }
-        Response::ok(slo_status_json(&id, &c))
+        Response::ok(slo_status_json(&id, c.slo()))
     }
 
     /// DELETE /slo — disarm the SLO loop; the last commanded rate sticks
@@ -749,7 +748,7 @@ impl ApiServer {
             Err(r) => return r,
         };
         c.stop_slo();
-        Response::ok(slo_status_json(&id, &c))
+        Response::ok(slo_status_json(&id, c.slo()))
     }
 
     /// GET /slo/status — the controller's live state: target, commanded
@@ -760,7 +759,7 @@ impl ApiServer {
             Ok(t) => t,
             Err(r) => return r,
         };
-        Response::ok(slo_status_json(&id, &c))
+        Response::ok(slo_status_json(&id, c.slo()))
     }
 
     /// GET /readyz — readiness probe: 200 once at least one workload is

@@ -7,8 +7,9 @@
 //!   as structured JSON samples (the coordinator folds these into the
 //!   merged `GET /cluster/metrics` exposition);
 //! * a background heartbeat thread that joins the coordinator (with
-//!   retry), reports the controller's windowed latency/throughput every
-//!   interval, and applies the rate share the coordinator assigns.
+//!   retry), reports the controller's windowed latency histogram and
+//!   throughput every interval, and applies the rate share the coordinator
+//!   assigns.
 //!
 //! Crash semantics: while the node's storage engine is crashed
 //! (`database().is_crashed()` — e.g. a chaos `ServerCrash`), the agent
@@ -30,6 +31,7 @@ use bp_obs::{MetricsRegistry, Severity};
 use bp_util::json::Json;
 
 use crate::coordinator::FANOUT_TIMEOUT;
+use crate::member::NodeWindow;
 
 /// How an agent reaches its coordinator and identifies itself.
 #[derive(Debug, Clone)]
@@ -178,7 +180,7 @@ fn heartbeat_loop(
         if controller.database().is_crashed() {
             continue;
         }
-        let w = controller.stats().window_snapshot(cfg.window_s);
+        let stats = controller.stats();
         // Slowest recently retained trace: the exemplar the coordinator can
         // cite if this node turns out to be the fleet's straggler.
         let slow_trace = controller.spans().and_then(|rec| {
@@ -188,15 +190,12 @@ fn heartbeat_loop(
                 .max_by_key(|s| s.total_us())
                 .map(|s| s.trace_id)
         });
-        let mut window = Json::obj()
-            .set("count", w.count)
-            .set("p50_us", w.p50_us)
-            .set("p99_us", w.p99_us)
-            .set("throughput", w.throughput);
-        if let Some(tid) = slow_trace {
-            window = window.set("slow_trace", bp_obs::format_trace_id(tid).as_str());
-        }
-        let body = Json::obj().set("node", cfg.node.as_str()).set("window", window);
+        let window = NodeWindow::from_histogram(
+            stats.window_histogram(cfg.window_s),
+            stats.window_snapshot(cfg.window_s).throughput,
+            slow_trace.unwrap_or(0),
+        );
+        let body = Json::obj().set("node", cfg.node.as_str()).set("window", window.to_json());
         match http_request_timeout(
             cfg.coordinator,
             "POST",

@@ -12,8 +12,9 @@
 //!   owning agent;
 //! * flags stragglers — one live node whose windowed p99 dominates the
 //!   median of its peers (`node_straggler`, picked up by bp-doctor);
-//! * when armed, runs AIMD on the *merged* windowed latency across the
-//!   fleet and steers the global rate (`cluster_slo`).
+//! * when armed, runs the node SLO control law ([`SloCore`]) on the
+//!   fleet's merged window histogram and steers the global rate
+//!   (`cluster_slo`).
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -21,12 +22,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bp_api::http::{http_request_text_timeout, http_request_timeout};
-use bp_api::router::RouteExtension;
+use bp_api::router::{slo_config_from_json, slo_status_json, RouteExtension};
 use bp_api::{Method, Request, Response, PROMETHEUS_CONTENT_TYPE};
+use bp_core::{Adjustment, SloCore, SloHandle, SloObservation};
 use bp_obs::{
     merge_samples, render_samples, EventJournal, MetricsBuf, MetricsRegistry, MetricsSource,
     Sample, Severity,
 };
+use bp_util::histogram::Histogram;
 use bp_util::json::Json;
 use bp_util::sync::Mutex;
 
@@ -63,51 +66,6 @@ impl Default for CoordinatorConfig {
     }
 }
 
-/// Cluster-wide SLO policy: AIMD on the merged windowed latency.
-#[derive(Debug, Clone)]
-pub struct ClusterSloConfig {
-    /// `true` steers on merged p99, `false` on merged p50.
-    pub on_p99: bool,
-    pub limit_us: u64,
-    /// Additive increase per tick (tx/s on the *global* rate).
-    pub step: f64,
-    /// Multiplicative backoff factor in (0, 1).
-    pub backoff: f64,
-    pub min_rate: f64,
-    pub max_rate: f64,
-    /// Control period; defaults to 2 heartbeat intervals so every tick
-    /// sees fresh windows from the whole fleet.
-    pub tick_us: u64,
-    /// Merged windowed completions required before acting.
-    pub min_samples: u64,
-}
-
-impl ClusterSloConfig {
-    fn default_with_heartbeat(heartbeat_us: u64) -> ClusterSloConfig {
-        ClusterSloConfig {
-            on_p99: true,
-            limit_us: 50_000,
-            step: 100.0,
-            backoff: 0.7,
-            min_rate: 50.0,
-            max_rate: f64::INFINITY,
-            tick_us: 2 * heartbeat_us,
-            min_samples: 20,
-        }
-    }
-}
-
-#[derive(Debug)]
-struct SloState {
-    cfg: ClusterSloConfig,
-    last_tick_us: u64,
-    ticks: u64,
-    increases: u64,
-    decreases: u64,
-    holds: u64,
-    observed_us: u64,
-}
-
 /// The coordinator. Construct with [`ClusterCoordinator::new`], mount on an
 /// [`bp_api::ApiServer`] with `set_extension`, and keep the
 /// [`DetectorGuard`] from [`ClusterCoordinator::start_detector`] alive for
@@ -116,7 +74,11 @@ pub struct ClusterCoordinator {
     membership: Mutex<MembershipTable>,
     /// Operator-or-SLO commanded fleet-wide rate; `None` until first set.
     global_rate: Mutex<Option<f64>>,
-    slo: Mutex<Option<SloState>>,
+    /// Config, gauges and counters of the cluster SLO loop.
+    slo: SloHandle,
+    /// The armed control law and the coordinator time of its last tick;
+    /// `None` while disarmed.
+    slo_core: Mutex<Option<(SloCore, u64)>>,
     journal: Arc<EventJournal>,
     /// Own registry, folded into `GET /cluster/metrics` alongside agents.
     registry: Mutex<Option<Arc<MetricsRegistry>>>,
@@ -146,27 +108,14 @@ fn query_param<'a>(query: &'a str, key: &str) -> Option<&'a str> {
     query.split('&').filter_map(|kv| kv.split_once('=')).find(|(k, _)| *k == key).map(|(_, v)| v)
 }
 
-fn window_from_json(j: &Json) -> NodeWindow {
-    NodeWindow {
-        count: j.get("count").and_then(Json::as_u64).unwrap_or(0),
-        p50_us: j.get("p50_us").and_then(Json::as_u64).unwrap_or(0),
-        p99_us: j.get("p99_us").and_then(Json::as_u64).unwrap_or(0),
-        throughput: j.get("throughput").and_then(Json::as_f64).unwrap_or(0.0),
-        slow_trace: j
-            .get("slow_trace")
-            .and_then(Json::as_str)
-            .and_then(bp_obs::parse_trace_id)
-            .unwrap_or(0),
-    }
-}
-
 impl ClusterCoordinator {
     pub fn new(cfg: CoordinatorConfig) -> Arc<ClusterCoordinator> {
         let heartbeat_us = cfg.heartbeat.as_micros().max(1) as u64;
         Arc::new(ClusterCoordinator {
             membership: Mutex::new(MembershipTable::new(heartbeat_us)),
             global_rate: Mutex::new(None),
-            slo: Mutex::new(None),
+            slo: SloHandle::new("cluster"),
+            slo_core: Mutex::new(None),
             journal: Arc::new(EventJournal::new()),
             registry: Mutex::new(None),
             origin: Instant::now(),
@@ -339,58 +288,65 @@ impl ClusterCoordinator {
         }
     }
 
-    /// One SLO control step, rate-limited to the configured tick period.
+    /// One SLO control step, rate-limited to the configured tick period:
+    /// [`SloCore::tick`] on the fleet observation, then the journal event
+    /// and, when the rate moved, a re-split.
     fn slo_tick(&self, now: u64) {
-        let mut guard = self.slo.lock();
-        let Some(slo) = guard.as_mut() else { return };
-        if now.saturating_sub(slo.last_tick_us) < slo.cfg.tick_us {
+        let mut guard = self.slo_core.lock();
+        let Some((core, last_tick_us)) = guard.as_mut() else { return };
+        if now.saturating_sub(*last_tick_us) < core.config().tick_us {
             return;
         }
-        slo.last_tick_us = now;
-        slo.ticks += 1;
-        // Merged observation: count-weighted mean of each live node's
-        // windowed percentile. An approximation of the true merged
-        // percentile, but monotone in every node's latency — exactly what
-        // a control loop needs.
-        let (total_count, weighted_sum) = {
-            let table = self.membership.lock();
-            let mut count = 0u64;
-            let mut sum = 0.0f64;
-            for m in table.live() {
-                let p = if slo.cfg.on_p99 { m.window.p99_us } else { m.window.p50_us };
-                count += m.window.count;
-                sum += m.window.count as f64 * p as f64;
-            }
-            (count, sum)
-        };
-        if total_count < slo.cfg.min_samples {
-            slo.holds += 1;
-            return;
-        }
-        let observed = weighted_sum / total_count as f64;
-        slo.observed_us = observed as u64;
-        let current = (*self.global_rate.lock()).unwrap_or(slo.cfg.min_rate);
-        let (next, verdict) = if observed > slo.cfg.limit_us as f64 {
-            slo.decreases += 1;
-            ((current * slo.cfg.backoff).max(slo.cfg.min_rate), "decrease")
-        } else {
-            slo.increases += 1;
-            ((current + slo.cfg.step).min(slo.cfg.max_rate), "increase")
-        };
-        self.journal.emit_with(Severity::Debug, "cluster", "cluster_slo", || {
-            (
-                format!(
-                    "merged {} {observed:.0}us vs limit {}us: {verdict} {current:.1} -> {next:.1} tx/s",
-                    if slo.cfg.on_p99 { "p99" } else { "p50" },
-                    slo.cfg.limit_us,
-                ),
-                vec![("observed_us", format!("{observed:.0}")), ("rate", format!("{next:.1}"))],
-            )
-        });
+        *last_tick_us = now;
+        let obs = self.fleet_observation();
+        let target = core.config().target;
+        let before = core.rate();
+        let d = core.tick(&obs);
         drop(guard);
-        if (next - current).abs() > f64::EPSILON {
-            *self.global_rate.lock() = Some(next);
+        self.slo.on_tick(&obs, &d);
+        if d.adjustment != Adjustment::Hold {
+            let observed = self.slo.observed_us();
+            self.journal.emit_with(Severity::Debug, "cluster", "cluster_slo", || {
+                (
+                    format!(
+                        "merged {} {observed}us vs limit {}us: {} {before:.1} -> {:.1} tx/s",
+                        target.kind(),
+                        target.limit_us(),
+                        d.adjustment.name(),
+                        d.rate,
+                    ),
+                    vec![
+                        ("observed_us", format!("{observed}")),
+                        ("rate", format!("{:.1}", d.rate)),
+                    ],
+                )
+            });
+        }
+        if (d.rate - before).abs() > f64::EPSILON {
+            *self.global_rate.lock() = Some(d.rate);
             self.resplit_and_fanout("slo");
+        }
+    }
+
+    /// The SLO sensor reading for the whole fleet: percentiles and sample
+    /// count of the live nodes' merged window histograms, and their summed
+    /// window throughput. The fleet has no single breaker, so the breaker
+    /// fields stay `false`.
+    fn fleet_observation(&self) -> SloObservation {
+        let table = self.membership.lock();
+        let mut merged = Histogram::latency();
+        let mut throughput = 0.0;
+        for m in table.live() {
+            merged.merge(&m.window.histogram);
+            throughput += m.window.throughput;
+        }
+        SloObservation {
+            p50_us: merged.p50(),
+            p99_us: merged.p99(),
+            throughput,
+            sample_count: merged.count(),
+            breaker_open: false,
+            breaker_half_open: false,
         }
     }
 
@@ -457,7 +413,7 @@ impl ClusterCoordinator {
         let Some(node) = body.get("node").and_then(Json::as_str) else {
             return Response::error(400, "body must contain node");
         };
-        let window = body.get("window").map(window_from_json).unwrap_or_default();
+        let window = body.get("window").map(NodeWindow::from_json).unwrap_or_default();
         let now = self.now_us();
         self.heartbeats_total.fetch_add(1, Ordering::Relaxed);
         let admission = self.membership.lock().heartbeat(node, window, now);
@@ -486,15 +442,6 @@ impl ClusterCoordinator {
             .members()
             .iter()
             .map(|m| {
-                let mut window = Json::obj()
-                    .set("count", m.window.count)
-                    .set("p50_us", m.window.p50_us)
-                    .set("p99_us", m.window.p99_us)
-                    .set("throughput", m.window.throughput);
-                if m.window.slow_trace != 0 {
-                    window = window
-                        .set("slow_trace", bp_obs::format_trace_id(m.window.slow_trace).as_str());
-                }
                 Json::obj()
                     .set("node", m.id.as_str())
                     .set("addr", m.addr.to_string().as_str())
@@ -503,7 +450,7 @@ impl ClusterCoordinator {
                     .set("weight", m.weight)
                     .set("heartbeats", m.heartbeats)
                     .set("last_seen_us", m.last_seen_us)
-                    .set("window", window)
+                    .set("window", m.window.to_json())
             })
             .collect();
         let (joined, suspect, dead) = table.counts();
@@ -511,13 +458,7 @@ impl ClusterCoordinator {
         Response::ok(
             Json::obj()
                 .set("heartbeat_ms", self.heartbeat_us / 1_000)
-                .set(
-                    "global_rate",
-                    match self.global_rate() {
-                        Some(r) => Json::Num(r),
-                        None => Json::Null,
-                    },
-                )
+                .set("global_rate", self.global_rate().map_or(Json::Null, Json::Num))
                 .set("joined", joined as u64)
                 .set("suspect", suspect as u64)
                 .set("dead", dead as u64)
@@ -725,97 +666,42 @@ impl ClusterCoordinator {
         Response::text(PROMETHEUS_CONTENT_TYPE, render_samples(&merged))
     }
 
+    /// `POST /cluster/slo`: the `POST /slo` body, armed on the global
+    /// rate. Two defaults differ from a node's: without `tick_ms` the loop
+    /// ticks every 2 heartbeat intervals, so each tick sees fresh windows
+    /// from the whole fleet; without `initial_rate` it starts from the
+    /// current global rate (`min_rate` when none is set).
     fn slo_arm(&self, req: &Request) -> Response {
         let body = req.body.clone().unwrap_or(Json::Null);
-        let mut cfg = ClusterSloConfig::default_with_heartbeat(self.heartbeat_us);
-        match body.get("target").and_then(Json::as_str) {
-            Some("p99") | None => cfg.on_p99 = true,
-            Some("p50") => cfg.on_p99 = false,
-            Some(other) => {
-                return Response::error(400, &format!("unknown target {other}; known: p99, p50"))
-            }
+        let mut cfg = match slo_config_from_json(&body) {
+            Ok(cfg) => cfg,
+            Err(e) => return Response::error(400, &e),
+        };
+        if body.get("tick_ms").and_then(Json::as_u64).is_none() {
+            cfg.tick_us = 2 * self.heartbeat_us;
         }
-        if let Some(ms) = body.get("limit_ms").and_then(Json::as_f64) {
-            if !ms.is_finite() || ms <= 0.0 {
-                return Response::error(400, "limit_ms must be a positive number");
-            }
-            cfg.limit_us = (ms * 1_000.0).round() as u64;
+        if body.get("initial_rate").and_then(Json::as_f64).is_none() {
+            cfg.initial_rate = self.global_rate().unwrap_or(cfg.min_rate);
         }
-        if let Some(v) = body.get("step").and_then(Json::as_f64) {
-            cfg.step = v.max(0.0);
-        }
-        if let Some(v) = body.get("backoff").and_then(Json::as_f64) {
-            if !(0.0..1.0).contains(&v) || v == 0.0 {
-                return Response::error(400, "backoff must be in (0, 1)");
-            }
-            cfg.backoff = v;
-        }
-        if let Some(v) = body.get("min_rate").and_then(Json::as_f64) {
-            cfg.min_rate = v.max(0.0);
-        }
-        if let Some(v) = body.get("max_rate").and_then(Json::as_f64) {
-            cfg.max_rate = v;
-        }
-        if let Some(v) = body.get("tick_ms").and_then(Json::as_u64) {
-            cfg.tick_us = v.max(1) * 1_000;
-        }
-        if let Some(v) = body.get("min_samples").and_then(Json::as_u64) {
-            cfg.min_samples = v;
-        }
-        if cfg.max_rate < cfg.min_rate {
-            return Response::error(400, "max_rate must be >= min_rate");
-        }
-        // Seed the global rate so the loop has something to adjust.
-        if let Some(v) = body.get("initial_rate").and_then(Json::as_f64) {
-            *self.global_rate.lock() = Some(v);
-        } else if self.global_rate.lock().is_none() {
-            *self.global_rate.lock() = Some(cfg.min_rate);
-        }
-        *self.slo.lock() = Some(SloState {
-            cfg,
-            last_tick_us: self.now_us(),
-            ticks: 0,
-            increases: 0,
-            decreases: 0,
-            holds: 0,
-            observed_us: 0,
-        });
+        let core = SloCore::new(cfg.clone());
+        *self.global_rate.lock() = Some(core.rate());
+        self.slo.arm(&cfg);
+        *self.slo_core.lock() = Some((core, self.now_us()));
         self.resplit_and_fanout("slo_arm");
         self.slo_status()
     }
 
     fn slo_disarm(&self) -> Response {
-        *self.slo.lock() = None;
+        *self.slo_core.lock() = None;
+        self.slo.disarm();
         self.slo_status()
     }
 
     fn slo_status(&self) -> Response {
-        let guard = self.slo.lock();
-        let body = match guard.as_ref() {
-            None => Json::obj().set("active", false),
-            Some(s) => Json::obj()
-                .set("active", true)
-                .set("target", if s.cfg.on_p99 { "p99" } else { "p50" })
-                .set("limit_us", s.cfg.limit_us)
-                .set("observed_us", s.observed_us)
-                .set("ticks", s.ticks)
-                .set(
-                    "adjustments",
-                    Json::obj()
-                        .set("increase", s.increases)
-                        .set("decrease", s.decreases)
-                        .set("hold", s.holds),
-                ),
-        };
-        drop(guard);
-        let body = body.set(
-            "global_rate",
-            match self.global_rate() {
-                Some(r) => Json::Num(r),
-                None => Json::Null,
-            },
-        );
-        Response::ok(body)
+        Response::ok(
+            slo_status_json("cluster", &self.slo)
+                .set("global_rate", self.global_rate().map_or(Json::Null, Json::Num)),
+        )
     }
 }
 
@@ -919,7 +805,7 @@ impl MetricsSource for ClusterCoordinator {
             "bp_cluster_slo_active",
             "1 while the cluster SLO loop is armed.",
             &[],
-            if self.slo.lock().is_some() { 1.0 } else { 0.0 },
+            if self.slo.is_active() { 1.0 } else { 0.0 },
         );
     }
 }

@@ -16,8 +16,8 @@
 //!   observed per-node capacity, fans control commands (rate, mixture,
 //!   pause/resume/stop, chaos, SLO) out to live agents, folds their
 //!   registries into one deduped Prometheus exposition on
-//!   `GET /cluster/metrics`, and can run a cluster-wide AIMD SLO loop on
-//!   the merged windowed latency.
+//!   `GET /cluster/metrics`, and can run the node SLO control law
+//!   ([`bp_core::SloCore`]) on the fleet's merged window histogram.
 //!
 //! Both roles mount their HTTP surface through
 //! [`bp_api::router::RouteExtension`], so bp-api stays ignorant of
@@ -29,7 +29,5 @@ pub mod coordinator;
 pub mod member;
 
 pub use agent::{start_agent, AgentConfig, AgentGuard};
-pub use coordinator::{
-    ClusterCoordinator, ClusterSloConfig, CoordinatorConfig, DetectorGuard, FANOUT_TIMEOUT,
-};
+pub use coordinator::{ClusterCoordinator, CoordinatorConfig, DetectorGuard, FANOUT_TIMEOUT};
 pub use member::{Admission, Member, MembershipTable, NodeState, NodeWindow};

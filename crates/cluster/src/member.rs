@@ -20,6 +20,9 @@
 
 use std::net::SocketAddr;
 
+use bp_util::histogram::Histogram;
+use bp_util::json::Json;
+
 /// Failure-detector state of one agent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeState {
@@ -43,8 +46,13 @@ impl NodeState {
     }
 }
 
+/// Most samples one heartbeat window may carry: the largest integer a JSON
+/// number holds exactly. It keeps the coordinator's merged fleet count far
+/// from `u64` overflow.
+const MAX_WINDOW_COUNT: u64 = 1 << 53;
+
 /// Latest windowed statistics an agent reported in a heartbeat.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct NodeWindow {
     pub count: u64,
     pub p50_us: u64,
@@ -54,6 +62,73 @@ pub struct NodeWindow {
     /// the agent has no span recorder or nothing retained yet). Lets
     /// straggler findings cite a concrete exemplar request.
     pub slow_trace: u64,
+    /// The window's latency histogram. The coordinator merges these across
+    /// live nodes, so fleet percentiles are true percentiles of the union.
+    pub histogram: Histogram,
+}
+
+impl NodeWindow {
+    /// Summarise an agent's window histogram.
+    pub fn from_histogram(histogram: Histogram, throughput: f64, slow_trace: u64) -> NodeWindow {
+        NodeWindow {
+            count: histogram.count(),
+            p50_us: histogram.p50(),
+            p99_us: histogram.p99(),
+            throughput,
+            slow_trace,
+            histogram,
+        }
+    }
+
+    /// The heartbeat / status wire form: the summary fields, `slow_trace`
+    /// as hex when set, and the histogram's non-empty buckets as
+    /// `[[bucket_low, count], …]`.
+    pub fn to_json(&self) -> Json {
+        let buckets = self
+            .histogram
+            .iter()
+            .map(|(low, n)| Json::Arr(vec![Json::from(low), Json::from(n)]))
+            .collect();
+        let mut j = Json::obj()
+            .set("count", self.count)
+            .set("p50_us", self.p50_us)
+            .set("p99_us", self.p99_us)
+            .set("throughput", self.throughput)
+            .set("buckets", Json::Arr(buckets));
+        if self.slow_trace != 0 {
+            j = j.set("slow_trace", bp_obs::format_trace_id(self.slow_trace).as_str());
+        }
+        j
+    }
+
+    /// Inverse of [`NodeWindow::to_json`]; missing fields read as zero and
+    /// each bucket is re-recorded at its lower bound, which lands it in the
+    /// same bucket. Buckets that would push the count past
+    /// `MAX_WINDOW_COUNT` are dropped.
+    pub fn from_json(j: &Json) -> NodeWindow {
+        let mut histogram = Histogram::latency();
+        for bucket in j.get("buckets").and_then(Json::as_arr).unwrap_or(&[]) {
+            if let Some([low, n]) = bucket.as_arr() {
+                if let (Some(low), Some(n)) = (low.as_u64(), n.as_u64()) {
+                    if n <= MAX_WINDOW_COUNT - histogram.count() {
+                        histogram.record_n(low, n);
+                    }
+                }
+            }
+        }
+        NodeWindow {
+            count: j.get("count").and_then(Json::as_u64).unwrap_or(0),
+            p50_us: j.get("p50_us").and_then(Json::as_u64).unwrap_or(0),
+            p99_us: j.get("p99_us").and_then(Json::as_u64).unwrap_or(0),
+            throughput: j.get("throughput").and_then(Json::as_f64).unwrap_or(0.0),
+            slow_trace: j
+                .get("slow_trace")
+                .and_then(Json::as_str)
+                .and_then(bp_obs::parse_trace_id)
+                .unwrap_or(0),
+            histogram,
+        }
+    }
 }
 
 /// One agent as the coordinator sees it.
@@ -156,7 +231,6 @@ impl MembershipTable {
         };
         let m = self.members.iter_mut().find(|m| m.id == id).unwrap();
         m.heartbeats += 1;
-        m.window = window;
         if window.count > 0 {
             m.weight = if m.weight == 0.0 {
                 window.throughput
@@ -164,6 +238,7 @@ impl MembershipTable {
                 m.weight * (1.0 - WEIGHT_EMA_ALPHA) + window.throughput * WEIGHT_EMA_ALPHA
             };
         }
+        m.window = window;
         admission
     }
 
@@ -326,10 +401,8 @@ mod tests {
         t.join("a", addr(1), 0);
         t.join("b", addr(2), 0);
         // a reports 3x the throughput of b.
-        let wa =
-            NodeWindow { count: 300, p50_us: 500, p99_us: 2_000, throughput: 300.0, slow_trace: 0 };
-        let wb =
-            NodeWindow { count: 100, p50_us: 900, p99_us: 9_000, throughput: 100.0, slow_trace: 0 };
+        let wa = NodeWindow { count: 300, throughput: 300.0, ..NodeWindow::default() };
+        let wb = NodeWindow { count: 100, throughput: 100.0, ..NodeWindow::default() };
         t.heartbeat("a", wa, 10);
         t.heartbeat("b", wb, 10);
         let split: Vec<f64> = t.split_rate(1_000.0).into_iter().map(|(_, r)| r).collect();
@@ -348,6 +421,28 @@ mod tests {
         let split = t.split_rate(500.0);
         assert_eq!(split, vec![("a".to_string(), 500.0)]);
         assert_eq!(t.get("b").unwrap().state, NodeState::Dead);
+    }
+
+    #[test]
+    fn window_json_round_trips_histogram_buckets() {
+        let mut h = Histogram::latency();
+        h.record_n(900, 40);
+        h.record_n(25_000, 3);
+        let w = NodeWindow::from_histogram(h, 120.5, 0xabc);
+        let back = NodeWindow::from_json(&w.to_json());
+        assert_eq!((back.count, back.p50_us, back.p99_us), (43, w.p50_us, w.p99_us));
+        assert_eq!(back.throughput, 120.5);
+        assert_eq!(back.slow_trace, 0xabc);
+        let buckets: Vec<(u64, u64)> = back.histogram.iter().collect();
+        assert_eq!(buckets, w.histogram.iter().collect::<Vec<_>>());
+        // The rebuilt p99 stays within the histogram's bucket error.
+        let p99 = back.histogram.p99();
+        assert!(p99.abs_diff(25_000) <= 25_000 / 16, "{p99}");
+        // A count no real window reaches is dropped, not summed into overflow.
+        let huge = Json::Arr(vec![Json::from(500u64), Json::from(u64::MAX)]);
+        let ok = Json::Arr(vec![Json::from(900u64), Json::from(7u64)]);
+        let w = NodeWindow::from_json(&Json::obj().set("buckets", Json::Arr(vec![huge, ok])));
+        assert_eq!(w.histogram.count(), 7);
     }
 
     #[test]

@@ -14,6 +14,7 @@ use bp_obs::{MetricsRegistry, Severity};
 use bp_sql::Connection;
 use bp_storage::{Database, Personality};
 use bp_util::clock::wall_clock;
+use bp_util::histogram::Histogram;
 use bp_util::json::Json;
 use bp_util::rng::Rng;
 use bp_workloads::by_name;
@@ -271,6 +272,90 @@ fn missed_heartbeats_mark_suspect_then_dead_and_resplit() {
     assert_eq!(status.body.get("dead").and_then(Json::as_u64), Some(0));
 }
 
+/// A heartbeat body whose window holds `n` samples at each `(latency_us, n)`
+/// pair, written out the way an agent sends it: the node's own count and
+/// percentiles plus the histogram's non-empty buckets.
+fn window_beat(node: &str, samples: &[(u64, u64)]) -> Json {
+    let mut h = Histogram::latency();
+    for &(us, n) in samples {
+        h.record_n(us, n);
+    }
+    let buckets =
+        h.iter().map(|(low, n)| Json::Arr(vec![Json::from(low), Json::from(n)])).collect();
+    Json::obj().set("node", node).set(
+        "window",
+        Json::obj()
+            .set("count", h.count())
+            .set("p50_us", h.p50())
+            .set("p99_us", h.p99())
+            .set("throughput", 100.0)
+            .set("buckets", Json::Arr(buckets)),
+    )
+}
+
+/// A coordinator with nodes `a` and `b` joined and the SLO loop armed with
+/// a p99 limit of 10 ms, backoff 0.5, initial rate 1000 and a 1 ms tick.
+/// The heartbeat interval is long so nobody dies during the test.
+fn armed_two_node_coordinator() -> Arc<ClusterCoordinator> {
+    let coordinator =
+        ClusterCoordinator::new(CoordinatorConfig { heartbeat: Duration::from_millis(500) });
+    for n in ["a", "b"] {
+        let join = Json::obj().set("node", n).set("addr", "127.0.0.1:9");
+        assert!(coordinator.handle(&Request::post("/cluster/join", join)).unwrap().is_ok());
+    }
+    let arm = Json::obj()
+        .set("target", "p99")
+        .set("limit_ms", 10.0)
+        .set("backoff", 0.5)
+        .set("initial_rate", 1_000.0)
+        .set("tick_ms", 1u64);
+    let r = coordinator.handle(&Request::post("/cluster/slo", arm)).unwrap();
+    assert!(r.is_ok(), "{r:?}");
+    coordinator
+}
+
+#[test]
+fn cluster_slo_decrease_cooldown_holds_while_window_is_stale() {
+    let coordinator = armed_two_node_coordinator();
+    let mut rates = Vec::new();
+    for _ in 0..4 {
+        for n in ["a", "b"] {
+            let beat = window_beat(n, &[(40_000, 50)]);
+            coordinator.handle(&Request::post("/cluster/heartbeat", beat));
+        }
+        std::thread::sleep(Duration::from_millis(3));
+        coordinator.tick();
+        rates.push(coordinator.global_rate().unwrap());
+    }
+    // One proportional decrease (limit/observed = 0.25, floored at the 0.5
+    // backoff), then holds: the window still shows the pre-decrease tail.
+    assert_eq!(rates[0], 500.0, "{rates:?}");
+    assert_eq!(rates[3], 500.0, "{rates:?}");
+    let status = coordinator.handle(&Request::get("/cluster/slo")).unwrap();
+    let adj = status.body.get("adjustments").unwrap();
+    assert_eq!(adj.get("decrease").and_then(Json::as_u64), Some(1));
+    assert_eq!(adj.get("hold").and_then(Json::as_u64), Some(3));
+}
+
+#[test]
+fn cluster_slo_steers_on_merged_histogram_percentile() {
+    let coordinator = armed_two_node_coordinator();
+    // 95% of the fleet's samples are fast, but the slowest 5% sit on one
+    // node: the fleet p99 is that node's 100 ms, not a count-weighted mean.
+    let post = |body: Json| coordinator.handle(&Request::post("/cluster/heartbeat", body));
+    post(window_beat("a", &[(1_000, 950)]));
+    post(window_beat("b", &[(100_000, 50)]));
+    std::thread::sleep(Duration::from_millis(3));
+    coordinator.tick();
+    let rate = coordinator.global_rate().unwrap();
+    assert!(rate < 1_000.0, "merged p99 violates the limit, rate must fall: {rate}");
+    let status = coordinator.handle(&Request::get("/cluster/slo")).unwrap();
+    let observed = status.body.get("observed_us").and_then(Json::as_u64).unwrap();
+    assert!(observed >= 90_000, "merged p99 {observed}us");
+    let adj = status.body.get("adjustments").unwrap();
+    assert_eq!(adj.get("decrease").and_then(Json::as_u64), Some(1));
+}
+
 #[test]
 fn cluster_slo_loop_steers_global_rate_on_merged_latency() {
     // Long heartbeat interval (nobody dies during the test) but a 1ms SLO
@@ -296,17 +381,7 @@ fn cluster_slo_loop_steers_global_rate_on_merged_latency() {
     assert_eq!(r.body.get("active").and_then(Json::as_bool), Some(true));
 
     let beat = |node: &str, p99: u64| {
-        post(
-            "/cluster/heartbeat",
-            Json::obj().set("node", node).set(
-                "window",
-                Json::obj()
-                    .set("count", 50u64)
-                    .set("p50_us", p99 / 4)
-                    .set("p99_us", p99)
-                    .set("throughput", 100.0),
-            ),
-        );
+        post("/cluster/heartbeat", window_beat(node, &[(p99, 50)]));
     };
 
     // Healthy merged latency: additive increase.

@@ -18,7 +18,7 @@ use std::thread::JoinHandle;
 
 use bp_chaos::{Admission, CircuitBreaker, FaultKind, ResilienceConfig, RetryBudget};
 use bp_obs::{
-    journal_now_us, ObsConfig, Severity, Span, SpanOutcome, SpanRecorder, TelemetryGuard,
+    journal_now_us, ObsConfig, Severity, Span, SpanRecorder, TelemetryGuard,
     TelemetryRecorder, TelemetrySample,
 };
 use bp_sql::Connection;
@@ -490,135 +490,103 @@ fn worker_loop(ctx: WorkerCtx) {
 
         // Admission control: an Open breaker fast-fails the request before
         // it touches the engine. Shed is its own bucket — never an error,
-        // never throughput.
-        let admission = match &breaker {
-            Some(b) => b.admit(start, queue.backlog()),
-            None => Admission::Allow,
-        };
-        if admission == Admission::Shed {
-            stats.record(Sample {
-                txn_type: txn_idx,
-                arrival: req.arrival,
-                start,
-                end: start,
-                outcome: RequestOutcome::Shed,
-                retries: 0,
-            });
-            if record_span {
-                spans.offer(Span {
-                    trace_id: tid,
-                    seq: req.seq,
-                    submitted_us: req.arrival,
-                    dequeued_us: start,
-                    end_us: start,
-                    lock_wait_us: 0,
-                    commit_us: 0,
-                    tenant,
-                    phase: req.phase,
-                    txn_type: txn_idx.min(u16::MAX as usize) as u16,
-                    retries: 0,
-                    outcome: SpanOutcome::Shed,
-                });
-            }
-            if let Some(t) = &trace {
-                t.append(TraceRecord {
-                    start_us: start,
-                    latency_us: 0,
-                    txn_type: txn_idx,
-                    outcome: RequestOutcome::Shed,
-                });
-            }
-            continue;
-        }
-
-        // Mark this thread's in-flight trace so deep storage events
-        // (deadlock victims, crashes) can cite the request that was
-        // on-CPU when they fired.
-        if record_span {
-            bp_obs::set_current_trace(tid);
-        }
+        // never throughput — and skips the breaker callbacks and think time.
+        let shed = breaker
+            .as_ref()
+            .is_some_and(|b| b.admit(start, queue.backlog()) == Admission::Shed);
         let mut retries = 0u32;
-        let outcome = loop {
-            // A tenant blackout invalidates the attempt before it reaches
-            // the engine; it behaves like any retryable transient fault.
-            let attempt = if db.chaos().blackout(tenant) {
-                None
-            } else {
-                // Panic isolation: a panicking transaction (workload bug or
-                // an injected `PanicStorm` fault) must not take the worker
-                // thread down with it — OLTP-Bench terminals similarly
-                // survive benchmark-code exceptions. The panic is caught,
-                // the open transaction rolled back (releasing its locks),
-                // and the request counted as a plain failure.
-                match catch_unwind(AssertUnwindSafe(|| {
-                    if db.chaos().roll(FaultKind::PanicStorm).is_some() {
-                        panic!("injected worker panic (panic_storm)");
+        let outcome = if shed {
+            RequestOutcome::Shed
+        } else {
+            // Mark this thread's in-flight trace so deep storage events
+            // (deadlock victims, crashes) can cite the request that was
+            // on-CPU when they fired.
+            if record_span {
+                bp_obs::set_current_trace(tid);
+            }
+            loop {
+                // A tenant blackout invalidates the attempt before it reaches
+                // the engine; it behaves like any retryable transient fault.
+                let attempt = if db.chaos().blackout(tenant) {
+                    None
+                } else {
+                    // Panic isolation: a panicking transaction (workload bug or
+                    // an injected `PanicStorm` fault) must not take the worker
+                    // thread down with it — OLTP-Bench terminals similarly
+                    // survive benchmark-code exceptions. The panic is caught,
+                    // the open transaction rolled back (releasing its locks),
+                    // and the request counted as a plain failure.
+                    match catch_unwind(AssertUnwindSafe(|| {
+                        if db.chaos().roll(FaultKind::PanicStorm).is_some() {
+                            panic!("injected worker panic (panic_storm)");
+                        }
+                        workload.execute(txn_idx, &mut conn, &mut rng)
+                    })) {
+                        Ok(r) => Some(r),
+                        Err(payload) => {
+                            if conn.in_transaction() {
+                                let _ = conn.rollback();
+                            }
+                            let msg = panic_message(payload.as_ref());
+                            db.journal().emit_with(Severity::Error, "core", "worker_panic", || {
+                                (
+                                    format!("worker survived transaction panic: {msg}"),
+                                    vec![
+                                        ("txn_type", txn_idx.to_string()),
+                                        ("panic", msg.clone()),
+                                    ],
+                                )
+                            });
+                            break RequestOutcome::Failed;
+                        }
                     }
-                    workload.execute(txn_idx, &mut conn, &mut rng)
-                })) {
-                    Ok(r) => Some(r),
-                    Err(payload) => {
+                };
+                let retryable_failure = match attempt {
+                    Some(Ok(TxnOutcome::Committed)) => break RequestOutcome::Committed,
+                    Some(Ok(TxnOutcome::UserAborted)) => break RequestOutcome::UserAborted,
+                    Some(Err(e)) => {
+                        // Defensive: the workload must leave the session idle.
                         if conn.in_transaction() {
                             let _ = conn.rollback();
                         }
-                        let msg = panic_message(payload.as_ref());
-                        db.journal().emit_with(Severity::Error, "core", "worker_panic", || {
-                            (
-                                format!("worker survived transaction panic: {msg}"),
-                                vec![
-                                    ("txn_type", txn_idx.to_string()),
-                                    ("panic", msg.clone()),
-                                ],
-                            )
-                        });
-                        break RequestOutcome::Failed;
+                        e.is_retryable()
                     }
-                }
-            };
-            let retryable_failure = match attempt {
-                Some(Ok(TxnOutcome::Committed)) => break RequestOutcome::Committed,
-                Some(Ok(TxnOutcome::UserAborted)) => break RequestOutcome::UserAborted,
-                Some(Err(e)) => {
-                    // Defensive: the workload must leave the session idle.
-                    if conn.in_transaction() {
-                        let _ = conn.rollback();
+                    None => {
+                        if conn.in_transaction() {
+                            let _ = conn.rollback();
+                        }
+                        true
                     }
-                    e.is_retryable()
+                };
+                // Deadline, the retry cap, and the cluster-wide retry budget
+                // all end the request as Failed.
+                let deadline_hit = resilience.deadline_us > 0
+                    && clock.now().saturating_sub(start) >= resilience.deadline_us;
+                if !retryable_failure || retries >= max_retries || deadline_hit || !budget.take() {
+                    break RequestOutcome::Failed;
                 }
-                None => {
-                    if conn.in_transaction() {
-                        let _ = conn.rollback();
-                    }
-                    true
+                retries += 1;
+                // Capped exponential backoff with deterministic jitter replaces
+                // the old tight retry loop: contending workers spread out
+                // instead of re-colliding in lockstep.
+                if resilience.backoff_base_us > 0 {
+                    clock.sleep(next_backoff(
+                        retries - 1,
+                        resilience.backoff_base_us,
+                        resilience.backoff_cap_us,
+                        seed ^ req.seq,
+                    ));
                 }
-            };
-            // Deadline, the retry cap, and the cluster-wide retry budget
-            // all end the request as Failed.
-            let deadline_hit = resilience.deadline_us > 0
-                && clock.now().saturating_sub(start) >= resilience.deadline_us;
-            if !retryable_failure || retries >= max_retries || deadline_hit || !budget.take() {
-                break RequestOutcome::Failed;
-            }
-            retries += 1;
-            // Capped exponential backoff with deterministic jitter replaces
-            // the old tight retry loop: contending workers spread out
-            // instead of re-colliding in lockstep.
-            if resilience.backoff_base_us > 0 {
-                clock.sleep(next_backoff(
-                    retries - 1,
-                    resilience.backoff_base_us,
-                    resilience.backoff_cap_us,
-                    seed ^ req.seq,
-                ));
             }
         };
-        let end = clock.now();
+        let end = if shed { start } else { clock.now() };
         if record_span {
             bp_obs::set_current_trace(0);
         }
 
         if let Some(b) = &breaker {
             match outcome {
+                RequestOutcome::Shed => {}
                 RequestOutcome::Failed => b.on_failure(end),
                 _ => b.on_success(),
             }
@@ -639,12 +607,7 @@ fn worker_loop(ctx: WorkerCtx) {
                 phase: req.phase,
                 txn_type: txn_idx.min(u16::MAX as usize) as u16,
                 retries: retries.min(u16::MAX as u32) as u16,
-                outcome: match outcome {
-                    RequestOutcome::Committed => SpanOutcome::Committed,
-                    RequestOutcome::UserAborted => SpanOutcome::UserAborted,
-                    RequestOutcome::Failed => SpanOutcome::Failed,
-                    RequestOutcome::Shed => unreachable!("shed recorded above"),
-                },
+                outcome,
             });
         }
         if let Some(t) = &trace {
@@ -657,7 +620,7 @@ fn worker_loop(ctx: WorkerCtx) {
         }
 
         let think = state.think_time_us();
-        if think > 0 {
+        if think > 0 && !shed {
             clock.sleep(think);
         }
     }

@@ -358,7 +358,8 @@ fn load_f64(cell: &AtomicU64) -> f64 {
 /// Shared state of one workload's SLO controller: configuration, the
 /// loop-cancellation epoch, and the live gauges/counters the control API
 /// and `/metrics` read. One persistent handle lives on each
-/// [`Controller`] (shared by all of its clones).
+/// [`Controller`] (shared by all of its clones); bp-cluster's coordinator
+/// keeps one for the fleet loop.
 pub struct SloHandle {
     workload: String,
     cfg: Mutex<Option<SloConfig>>,
@@ -461,7 +462,7 @@ impl SloHandle {
     /// Arm for a new loop run: store config, reset the live counters, and
     /// return the new loop epoch. (Counters reset so `GET /slo/status`
     /// after a re-POST describes the new loop, not the old one.)
-    pub(crate) fn arm(&self, cfg: &SloConfig) -> u64 {
+    pub fn arm(&self, cfg: &SloConfig) -> u64 {
         *self.cfg.lock() = Some(cfg.clone());
         store_f64(&self.rate_bits, cfg.initial_rate.clamp(cfg.min_rate, cfg.max_rate));
         store_f64(&self.error_bits, 0.0);
@@ -479,12 +480,14 @@ impl SloHandle {
 
     /// Cancel any running loop (it notices the stale epoch on its next
     /// tick) and mark the controller inactive.
-    pub(crate) fn disarm(&self) {
+    pub fn disarm(&self) {
         self.epoch.fetch_add(1, Ordering::SeqCst);
         self.active.store(false, Ordering::SeqCst);
     }
 
-    pub(crate) fn on_tick(&self, obs: &SloObservation, d: &SloDecision) {
+    /// Record one tick's observation and decision in the live gauges and
+    /// counters.
+    pub fn on_tick(&self, obs: &SloObservation, d: &SloDecision) {
         store_f64(&self.rate_bits, d.rate);
         store_f64(&self.error_bits, d.error);
         store_f64(&self.throughput_bits, obs.throughput);

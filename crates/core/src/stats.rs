@@ -20,18 +20,9 @@ use bp_util::timeseries::TimeSeries;
 /// bounding memory per shard.
 const WINDOW_RING_S: usize = 120;
 
-/// How a dispatched request ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RequestOutcome {
-    Committed,
-    /// Benchmark-logic abort (still a successfully processed request).
-    UserAborted,
-    /// Lock conflict / timeout; retries exhausted or disabled.
-    Failed,
-    /// Fast-failed by the admission controller without executing.
-    /// Counted in its own bucket: never in throughput, never as an error.
-    Shed,
-}
+/// How a dispatched request ended: bp-obs's span outcome, so stats, traces
+/// and spans share one enum and the completion path needs no mapping.
+pub use bp_obs::SpanOutcome as RequestOutcome;
 
 #[derive(Debug, Clone)]
 struct PerType {

@@ -72,15 +72,18 @@ impl Stage {
     }
 }
 
-/// How the request ended. Mirrors `bp-core`'s `RequestOutcome` without
-/// depending on it (the dependency points the other way).
+/// How the request ended. bp-core re-exports this as `RequestOutcome`, so
+/// stats samples, trace records and spans all carry the same enum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum SpanOutcome {
     Committed = 0,
+    /// Benchmark-logic abort (still a successfully processed request).
     UserAborted = 1,
+    /// Lock conflict / timeout; retries exhausted or disabled.
     Failed = 2,
     /// Fast-failed by the admission controller without executing.
+    /// Counted in its own bucket: never in throughput, never as an error.
     Shed = 3,
 }
 

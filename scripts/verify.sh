@@ -11,6 +11,9 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release --offline =="
 cargo build --release --offline
 
+echo "== benchmark build: e2ebench against the workspace's public API =="
+cargo build --release --offline --manifest-path e2ebench/Cargo.toml
+
 echo "== cargo test -q --offline =="
 cargo test -q --offline
 
